@@ -28,9 +28,7 @@ lint: build
 # byte-for-byte (the simulator is deterministic; any diff is a semantics
 # change and must be reviewed by re-blessing test/golden/fig03_quick.csv),
 # a second cached run of fig03 must re-simulate nothing, and a traced run
-# must leave one .jsonl per simulated config. The fluidgrid CSV is produced
-# twice — batched (default --batch 8) and unbatched (--batch 1) — and both
-# must match the golden copy: batched evaluation is exact (DESIGN.md §15).
+# must leave one .jsonl per simulated config.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
@@ -53,9 +51,6 @@ check: build test lint
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/fig05_quick.csv "$(CHECK_OUT)/fig05.csv"
 	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
-	  --out "$(CHECK_OUT)"
-	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
-	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --batch 1 \
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \

@@ -332,7 +332,7 @@ let workload_tests =
 let fluid_baseline =
   [ ("bench fluid/short-10flows-pre-soa", 18_615_018.921, 8_673_185.907) ]
 
-(* --- Batched evaluation (DESIGN.md §15) ------------------------------ *)
+(* --- Analytic sweep ---------------------------------------------------- *)
 
 module B = Sim_backend
 
@@ -350,7 +350,7 @@ let sweep_spec ~buffer_bdp ccas =
 
 (* A fluidgrid-sized sweep — the single-CCA diagonals plus the
    competition cells a `repro fluidgrid` evaluation visits — used as the
-   unit of work for the batched-vs-sequential throughput pair. *)
+   unit of work for the specs/s rows of BENCH_fluid.json. *)
 let sweep_specs =
   [|
     sweep_spec ~buffer_bdp:1.0 [ "cubic" ];
@@ -366,15 +366,13 @@ let sweep_specs =
     sweep_spec ~buffer_bdp:10.0 [ "bbr"; "bbr" ];
   |]
 
-let run_batch_sweep backend () = ignore (B.run_batch_exn backend sweep_specs)
-
-let run_seq_sweep backend () =
+let run_sweep backend () =
   Array.iter (fun s -> ignore (B.run_exn backend s)) sweep_specs
 
-(* Pre-rewrite sequential throughput on the same 11-cell sweep (AoS fluid
-   stepper / per-run-arena ODE integrator, same machine class): the
-   "before" half of BENCH_batch.json's before/after pair. *)
-let batch_baseline = [ ("fluid", 434.5); ("ode", 660.1) ]
+(* Pre-rewrite throughput on the same 11-cell sweep (AoS fluid stepper /
+   per-run-arena ODE integrator, same machine class): the "before" half
+   of the sweep's before/after pair in BENCH_fluid.json. *)
+let sweep_baseline = [ ("fluid", 434.5); ("ode", 660.1) ]
 
 (* --- Allocation gates ------------------------------------------------- *)
 
@@ -395,14 +393,13 @@ let alloc_gates =
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
-    (* The batched fluid stepper advances a whole sweep through one SoA
-       arena with an allocation-free step loop: the budget covers arena
-       construction plus per-spec result records — anything larger means
-       an allocation crept inside the step loop. The ODE sweep's budget
-       is dominated by its per-sample accounting buffers, which scale
-       with the 60 s horizon, not with stepping. *)
-    ("batch/fluid-11cell-sweep", 3, 16_000.0, run_batch_sweep B.fluid);
-    ("batch/ode-11cell-sweep", 3, 2_500_000.0, run_batch_sweep B.ode);
+    (* The fluid step loop is allocation-free: the sweep's budget covers
+       each spec's state arrays plus its result record — anything larger
+       means an allocation crept inside the step loop. The ODE sweep's
+       budget is dominated by its per-sample accounting buffers, which
+       scale with the 60 s horizon, not with stepping. *)
+    ("fluid/11cell-sweep", 3, 16_000.0, run_sweep B.fluid);
+    ("ode/11cell-sweep", 3, 2_500_000.0, run_sweep B.ode);
     (* The step kernel itself is allocation-free; the budget covers the
        three 64-slot scratch arrays the harness sets up per run. *)
     ( "evolve/step-1k-logit", 50, 1_000.0,
@@ -482,11 +479,11 @@ let () =
     exit 0
   end
 
-(* --- Batch section ---------------------------------------------------- *)
+(* --- Sweep throughput -------------------------------------------------- *)
 
 (* One sweep takes tens of ms — too coarse for bechamel's per-run OLS —
    and wall-clock on this machine class is noisy (±30% run-to-run), so
-   the batch section times whole sweeps and keeps the best of N. *)
+   sweeps are timed whole and the best of N is kept. *)
 let sweep_rate f =
   let reps = if !smoke then 2 else 7 in
   f ();
@@ -500,57 +497,33 @@ let sweep_rate f =
   done;
   float_of_int (Array.length sweep_specs) /. !best
 
-let write_batch_json ~dir rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir "BENCH_batch.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"section\": \"batch\",\n  \"smoke\": %b,\n" !smoke;
-  Printf.fprintf oc
-    "  \"units\": { \"specs_per_second\": \"sweep specs evaluated per \
-     wall-clock second, best of N\" },\n";
-  Printf.fprintf oc "  \"sweep_cells\": %d,\n" (Array.length sweep_specs);
-  Printf.fprintf oc "  \"baseline_pre_rewrite\": {\n";
-  let n = List.length batch_baseline in
-  List.iteri
-    (fun i (name, rate) ->
-      Printf.fprintf oc
-        "    \"%s\": { \"sequential_specs_per_second\": %.1f }%s\n" name rate
-        (if i = n - 1 then "" else ","))
-    batch_baseline;
-  Printf.fprintf oc "  },\n  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, seq, batched) ->
-      let baseline = List.assoc name batch_baseline in
-      Printf.fprintf oc
-        "    \"%s\": { \"sequential_specs_per_second\": %.1f, \
-         \"batched_specs_per_second\": %.1f, \
-         \"speedup_batched_vs_sequential\": %.2f, \
-         \"speedup_batched_vs_baseline\": %.2f }%s\n"
-        name seq batched (batched /. seq) (batched /. baseline)
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let run_batch_section () =
-  Printf.printf "%-8s %16s %16s %9s %14s\n" "backend" "seq specs/s"
-    "batch specs/s" "speedup" "vs pre-rewrite";
+(* The fluid section's "sweep" object: specs/s on the 11-cell sweep per
+   backend, next to the pre-rewrite baseline. *)
+let sweep_section () =
+  Printf.printf "%-8s %16s %14s\n" "backend" "sweep specs/s" "vs pre-rewrite";
   let rows =
     List.map
       (fun (name, backend) ->
-        let seq = sweep_rate (run_seq_sweep backend) in
-        let batched = sweep_rate (run_batch_sweep backend) in
-        Printf.printf "%-8s %16.1f %16.1f %8.2fx %13.2fx\n%!" name seq batched
-          (batched /. seq)
-          (batched /. List.assoc name batch_baseline);
-        (name, seq, batched))
+        let rate = sweep_rate (run_sweep backend) in
+        Printf.printf "%-8s %16.1f %13.2fx\n%!" name rate
+          (rate /. List.assoc name sweep_baseline);
+        (name, rate))
       [ ("fluid", B.fluid); ("ode", B.ode) ]
   in
-  match !json_dir with
-  | None -> ()
-  | Some dir -> write_batch_json ~dir rows
+  let members rows =
+    String.concat ", "
+      (List.map
+         (fun (name, rate) -> Printf.sprintf "\"%s\": %.1f" name rate)
+         rows)
+  in
+  Printf.sprintf
+    "  \"sweep\": {\n\
+    \    \"unit\": \"11-cell sweep specs evaluated per wall-clock second, \
+     best of N\",\n\
+    \    \"baseline_pre_rewrite\": { %s },\n\
+    \    \"results\": { %s }\n\
+    \  },\n"
+    (members sweep_baseline) (members rows)
 
 (* --- Bechamel sections ------------------------------------------------ *)
 
@@ -577,9 +550,10 @@ let json_float v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
 (* DIR/BENCH_<section>.json: { "results": { name: { ns_per_run;
    minor_words_per_run } } }, keys sorted so the file is diffable.
    [baseline] adds a "baseline_pre_rewrite" object in the same row format
-   for sections that track a before/after pair. *)
-let write_bench_json ?(baseline = []) ~dir ~section rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+   for sections that track a before/after pair; [extra] is inserted
+   verbatim before "results" (preformatted JSON members). *)
+let write_bench_json ?(baseline = []) ?(extra = "") ~dir ~section rows =
+  Sim_engine.Exec.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" section) in
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"section\": \"%s\",\n  \"smoke\": %b,\n"
@@ -602,13 +576,14 @@ let write_bench_json ?(baseline = []) ~dir ~section rows =
     print_rows baseline;
     Printf.fprintf oc "  },\n"
   end;
+  output_string oc extra;
   Printf.fprintf oc "  \"results\": {\n";
   print_rows rows;
   Printf.fprintf oc "  }\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-let run_bechamel ?(baseline = []) ~section tests =
+let run_bechamel ?(baseline = []) ?extra ~section tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -648,7 +623,7 @@ let run_bechamel ?(baseline = []) ~section tests =
     rows;
   match !json_dir with
   | None -> ()
-  | Some dir -> write_bench_json ~baseline ~dir ~section rows
+  | Some dir -> write_bench_json ~baseline ?extra ~dir ~section rows
 
 (* --- Ablations ------------------------------------------------------- *)
 
@@ -784,7 +759,7 @@ let scaling_jobs () =
 let sections () =
   match Sys.getenv_opt "REPRO_BENCH_SECTIONS" with
   | None | Some "" ->
-    [ "figures"; "micro"; "fluid"; "batch"; "evolve"; "workload"; "scaling";
+    [ "figures"; "micro"; "fluid"; "evolve"; "workload"; "scaling";
       "ablations" ]
   | Some s -> String.split_on_char ',' s
 
@@ -805,11 +780,8 @@ let () =
   end;
   if List.mem "fluid" sections then begin
     Printf.printf "==== Analytic-backend benchmarks ====\n%!";
-    run_bechamel ~baseline:fluid_baseline ~section:"fluid" fluid_tests
-  end;
-  if List.mem "batch" sections then begin
-    Printf.printf "==== Batched evaluation (11-cell sweep) ====\n%!";
-    run_batch_section ()
+    let extra = sweep_section () in
+    run_bechamel ~baseline:fluid_baseline ~extra ~section:"fluid" fluid_tests
   end;
   if List.mem "evolve" sections then begin
     Printf.printf "==== Adoption-dynamics benchmarks ====\n%!";

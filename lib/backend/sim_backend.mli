@@ -2,7 +2,7 @@
 
     The repo has three ways to answer "what happens when these flows share
     this bottleneck": the packet-level simulator ({!Tcpflow.Experiment}),
-    the fluid round/Heun model ({!Fluidsim.Fluid_sim}) and the
+    the fluid round-level model ({!Fluidsim.Fluid_sim}) and the
     control-theoretic ODE model ({!Fluidsim.Ode_model}). This module fronts
     all three behind one backend-neutral {!spec} so that experiment
     drivers, differential tests, the fuzzer and [repro --backend] select a
@@ -80,14 +80,10 @@ module type S = sig
   val run : spec -> (outcome, error) result
 
   val run_batch : spec array -> (outcome, error) result array
-  (** Evaluate many specs in one call, preserving order: slot [i] holds
-      exactly what [run specs.(i)] would return. The analytic backends
-      (fluid, ode) dispatch every valid spec through their batched
-      struct-of-arrays steppers — amortizing allocation and keeping
-      state compact — while invalid specs come back as their [Error]
-      without perturbing the rest. The packet backend falls back to
-      sequential [run]. Results are byte-identical to sequential
-      evaluation regardless of batch composition or order. *)
+  (** [Array.map run] in every backend, and nothing in the library calls
+      it. It stays in this signature only because the benchmark harness
+      under [perfbench/] implements and forwards it; it goes when that
+      harness no longer does. *)
 end
 
 type t = (module S)
@@ -96,8 +92,8 @@ val packet : t
 (** The packet-level simulator. Supports every {!Cca.Registry} name. *)
 
 val fluid : t
-(** {!Fluidsim.Fluid_sim} with the historical {!Fluidsim.Fluid_sim.Rounds}
-    stepper, synchronized loss, dt 2 ms. Supports cubic/bbr/bbr2. *)
+(** {!Fluidsim.Fluid_sim} with synchronized loss and dt 2 ms. Supports
+    cubic/bbr/bbr2. *)
 
 val ode : t
 (** {!Fluidsim.Ode_model} with the adaptive integrator. Deterministic;
@@ -119,14 +115,8 @@ val run : t -> spec -> (outcome, error) result
 val digest : t -> spec -> string
 val validate : t -> spec -> (unit, error) result
 
-val run_batch : t -> spec array -> (outcome, error) result array
-(** See {!S.run_batch}. *)
-
 val run_exn : t -> spec -> outcome
 (** Raises [Invalid_argument] with the formatted {!error}. *)
-
-val run_batch_exn : t -> spec array -> outcome array
-(** Raises [Invalid_argument] on the first [Error] slot. *)
 
 val mean_bps_of_cca : outcome -> string -> float
 (** Mean per-flow goodput over flows running the named CCA; [nan] if

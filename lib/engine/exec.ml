@@ -70,22 +70,23 @@ let map ?(jobs = 1) f xs =
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
+(* Losing a creation race to a concurrent creator is benign; any other
+   failure (permission denied, a file in the way) propagates. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if not (String.equal parent dir) then mkdir_p parent;
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+  end
+
 module Cache = struct
   type t = { dir : string }
 
   let magic = "bbr-equilibrium-cache-v1"
 
   let create dir =
-    if not (Sys.file_exists dir) then begin
-      (* Create parents too; races with concurrent creators are benign. *)
-      let rec mkdir_p d =
-        if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-          mkdir_p (Filename.dirname d);
-          try Sys.mkdir d 0o755 with Sys_error _ -> ()
-        end
-      in
-      mkdir_p dir
-    end;
+    mkdir_p dir;
     { dir }
 
   let dir t = t.dir

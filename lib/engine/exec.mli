@@ -36,6 +36,11 @@ val counters : unit -> counters
 val note_memo_eviction : unit -> unit
 (** Count one memo eviction (atomic; callable from worker domains). *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents. A directory that already
+    exists, or that a concurrent caller creates first, is fine; any other
+    failure raises [Sys_error]. *)
+
 (** Content-addressed result store: values are marshalled under the MD5 of
     a caller-chosen key string (for experiments, the marshalled config).
 
@@ -47,7 +52,7 @@ module Cache : sig
   type t
 
   val create : string -> t
-  (** Use (and create if needed, including parents) the given directory. *)
+  (** Use the given directory, creating it with {!mkdir_p} if needed. *)
 
   val dir : t -> string
 

@@ -19,12 +19,6 @@ let config ?duration ?warmup ?(aqm = E.Tail_drop) ~mode ~mbps ~rtt_ms
     ~duration:(Option.value duration ~default:(Common.duration mode))
     flows
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* Run one config with a trace hub feeding a JSONL file and a metrics
    rollup, both named by the config digest. Each file is written wholly
    inside the worker domain that simulates its config, and the writers are
@@ -50,16 +44,51 @@ let run_traced ~dir (key, config) =
   close_out mc;
   result
 
-(* The central choke point every simulation in the experiment suite goes
-   through: consult the cache, farm the misses out to the ctx's worker
-   pool, persist what was computed, and return results in config order.
-   Tracing bypasses the cache — a cache hit skips the simulation and would
-   produce no trace — but still dedupes repeated configs, so one file pair
-   per distinct digest. *)
+(* The cache discipline shared by [eval] and [run_specs]: consult the
+   cache, farm the misses out to the ctx's worker pool, persist what was
+   computed, and return results in input order. One lookup (and at most
+   one run) per distinct digest, even when a batch repeats a grid
+   point. *)
+let evaluate (ctx : Common.ctx) ~digest ~run items =
+  match ctx.cache_dir with
+  | None -> Sim_engine.Exec.map_list ~jobs:ctx.jobs run items
+  | Some dir ->
+    let cache = Sim_engine.Exec.Cache.create dir in
+    let keyed = List.map (fun x -> (digest x, x)) items in
+    let known = Hashtbl.create 16 in
+    let pending = Hashtbl.create 16 in
+    let to_run =
+      List.filter
+        (fun (key, _) ->
+          if Hashtbl.mem known key || Hashtbl.mem pending key then false
+          else
+            match Sim_engine.Exec.Cache.find cache ~key with
+            | Some result ->
+              Hashtbl.add known key result;
+              false
+            | None ->
+              Hashtbl.add pending key ();
+              true)
+        keyed
+    in
+    let computed =
+      Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (_, x) -> run x) to_run
+    in
+    List.iter2
+      (fun (key, _) result ->
+        Sim_engine.Exec.Cache.store cache ~key result;
+        Hashtbl.replace known key result)
+      to_run computed;
+    List.map (fun (key, _) -> Hashtbl.find known key) keyed
+
+(* The central choke point every packet simulation in the experiment
+   suite goes through. Tracing bypasses the cache — a cache hit skips the
+   simulation and would produce no trace — but still dedupes repeated
+   configs, so one file pair per distinct digest. *)
 let eval (ctx : Common.ctx) configs =
   match ctx.trace_dir with
   | Some dir ->
-    mkdir_p dir;
+    Sim_engine.Exec.mkdir_p dir;
     let keyed = List.map (fun c -> (E.digest c, c)) configs in
     let seen = Hashtbl.create 16 in
     let distinct =
@@ -80,141 +109,14 @@ let eval (ctx : Common.ctx) configs =
       (fun (key, _) result -> Hashtbl.replace results key result)
       distinct computed;
     List.map (fun (key, _) -> Hashtbl.find results key) keyed
-  | None -> (
-    match ctx.cache_dir with
-    | None -> Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun c -> E.run c) configs
-    | Some dir ->
-    let cache = Sim_engine.Exec.Cache.create dir in
-    let keyed = List.map (fun c -> (E.digest c, c)) configs in
-    let known : (string, E.result) Hashtbl.t = Hashtbl.create 16 in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      (* One lookup (and at most one run) per distinct config, even when a
-         batch repeats a grid point. *)
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem known key || Hashtbl.mem pending key then false
-          else
-            match Sim_engine.Exec.Cache.find cache ~key with
-            | Some (result : E.result) ->
-              Hashtbl.add known key result;
-              false
-            | None ->
-              Hashtbl.add pending key ();
-              true)
-        keyed
-    in
-    let computed =
-      Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (_, c) -> E.run c) to_run
-    in
-    List.iter2
-      (fun (key, _) result ->
-        Sim_engine.Exec.Cache.store cache ~key result;
-        Hashtbl.replace known key result)
-      to_run computed;
-    List.map (fun (key, _) -> Hashtbl.find known key) keyed)
+  | None -> evaluate ctx ~digest:E.digest ~run:(fun c -> E.run c) configs
 
-(* Batched dispatch of backend specs: group by shape (flow count ×
-   horizon — specs a backend's SoA stepper advances over the same step
-   grid), cut each group into [ctx.batch]-sized chunks, and evaluate
-   chunks across the worker pool through {!Sim_backend.run_batch}. The
-   shard unit is the chunk, so parallelism composes with batching.
-
-   Grouping and chunking are a pure scheduling choice: [run_batch] is
-   byte-identical to sequential evaluation per spec, so outcomes do not
-   depend on [ctx.batch], [ctx.jobs], or which specs share a chunk.
-   Groups keep first-appearance order and chunks preserve input order
-   within a group, so chunk composition itself is deterministic too. *)
-let dispatch_specs (ctx : Common.ctx) backend (specs : Sim_backend.spec array)
-    =
-  let n = Array.length specs in
-  let shape_order = ref [] in
-  let groups : (int * float, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i (s : Sim_backend.spec) ->
-      let shape =
-        ( List.length s.flows,
-          Sim_engine.Units.Raw.to_float s.duration )
-      in
-      match Hashtbl.find_opt groups shape with
-      | Some members -> members := i :: !members
-      | None ->
-        Hashtbl.add groups shape (ref [ i ]);
-        shape_order := shape :: !shape_order)
-    specs;
-  let chunk_size = max 1 ctx.batch in
-  let rec chunks = function
-    | [] -> []
-    | idxs ->
-      let rec take k = function
-        | rest when k = 0 -> ([], rest)
-        | [] -> ([], [])
-        | i :: rest ->
-          let taken, dropped = take (k - 1) rest in
-          (i :: taken, dropped)
-      in
-      let c, rest = take chunk_size idxs in
-      c :: chunks rest
-  in
-  let work =
-    List.concat_map
-      (fun shape -> chunks (List.rev !(Hashtbl.find groups shape)))
-      (List.rev !shape_order)
-  in
-  let computed =
-    Sim_engine.Exec.map_list ~jobs:ctx.jobs
-      (fun idxs ->
-        Sim_backend.run_batch_exn backend
-          (Array.of_list (List.map (fun i -> specs.(i)) idxs)))
-      work
-  in
-  let results = Array.make n None in
-  List.iter2
-    (fun idxs outcomes ->
-      List.iteri (fun k i -> results.(i) <- Some outcomes.(k)) idxs)
-    work computed;
-  Array.map
-    (function Some o -> o | None -> assert false (* every index chunked *))
-    results
-
-(* [eval]'s cache discipline for the backend-neutral API: one lookup and
-   at most one run per distinct (backend, spec) digest, misses grouped by
-   shape and dispatched through the backend's batched entry point over
-   the ctx's worker pool. Analytic backends have no event stream, so
-   [trace_dir] does not apply here. *)
+(* [eval]'s backend-neutral sibling, one spec per worker-pool job.
+   Analytic backends have no event stream, so [trace_dir] does not apply
+   here. *)
 let run_specs (ctx : Common.ctx) backend specs =
-  match ctx.cache_dir with
-  | None ->
-    Array.to_list (dispatch_specs ctx backend (Array.of_list specs))
-  | Some dir ->
-    let cache = Sim_engine.Exec.Cache.create dir in
-    let keyed = List.map (fun s -> (Sim_backend.digest backend s, s)) specs in
-    let known : (string, Sim_backend.outcome) Hashtbl.t = Hashtbl.create 16 in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem known key || Hashtbl.mem pending key then false
-          else
-            match Sim_engine.Exec.Cache.find cache ~key with
-            | Some (outcome : Sim_backend.outcome) ->
-              Hashtbl.add known key outcome;
-              false
-            | None ->
-              Hashtbl.add pending key ();
-              true)
-        keyed
-    in
-    let computed =
-      dispatch_specs ctx backend (Array.of_list (List.map snd to_run))
-    in
-    List.iteri
-      (fun i (key, _) ->
-        let outcome = computed.(i) in
-        Sim_engine.Exec.Cache.store cache ~key outcome;
-        Hashtbl.replace known key outcome)
-      to_run;
-    List.map (fun (key, _) -> Hashtbl.find known key) keyed
+  evaluate ctx ~digest:(Sim_backend.digest backend)
+    ~run:(Sim_backend.run_exn backend) specs
 
 (* A capped memo: outcomes keyed by digest, stamped with a logical access
    tick. When full, the least-recently-used entry is evicted (an O(cap)

@@ -40,15 +40,12 @@ val run_specs :
 (** {!eval}'s backend-neutral sibling: run every spec on the given backend,
     in order, with the same cache discipline — outcomes are keyed by
     {!Sim_backend.digest} (which includes the backend's version token), so
-    the packet, fluid and ODE backends never share entries. Misses are
-    grouped by shape (flow count × duration), cut into [ctx.batch]-sized
-    chunks, and dispatched through {!Sim_backend.run_batch} with one
-    chunk per worker-pool job — the analytic backends advance each chunk
-    through one batched integrator pass. Outcomes are byte-identical
-    across [ctx.jobs] and [ctx.batch] settings (batched evaluation is
-    exact, see DESIGN.md §15). [ctx.trace_dir] does not apply: analytic
-    backends emit no event stream. Raises [Invalid_argument] when the
-    backend rejects a spec (unsupported CCA, malformed spec). *)
+    the packet, fluid and ODE backends never share entries. Each miss is
+    one worker-pool job through {!Sim_backend.run}, so outcomes are
+    byte-identical across [ctx.jobs] settings. [ctx.trace_dir] does not
+    apply: analytic backends emit no event stream. Raises
+    [Invalid_argument] when the backend rejects a spec (unsupported CCA,
+    malformed spec). *)
 
 type memo
 (** An in-memory outcome store keyed by {!Sim_backend.digest}, layered in

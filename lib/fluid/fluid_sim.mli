@@ -39,17 +39,6 @@ type sync_mode =
   | Desynchronized
   | Stochastic of float  (** Per-flow back-off probability on overflow. *)
 
-type stepper =
-  | Rounds
-      (** The event-driven round stepping: one explicit step per [dt], loss
-          rounds applied at buffer overflow. The historical path — golden
-          CSVs and the differential grid are blessed against it. *)
-  | Heun
-      (** A fixed-step two-stage (predictor/corrector) integrator of the
-          same dynamics: each step is re-taken under the midpoint queuing
-          delay, damping the one-[dt] feedback lag of {!Rounds} at coarse
-          [dt]. Loss rounds are still discrete. *)
-
 type config = {
   capacity_bps : Sim_engine.Units.rate_bps;
   buffer_bytes : Sim_engine.Units.byte_count;
@@ -61,12 +50,11 @@ type config = {
   seed : int;
   trace_period : Sim_engine.Units.seconds;
       (** Record a {!trace_sample} this often; 0 = off. *)
-  stepper : stepper;
 }
 
 val default_config : config
 (** 100 Mbps, 10 BDP at 40 ms, 1 CUBIC vs 1 BBR, synchronized, 60 s with
-    20 s warm-up, dt 2 ms, seed 1, {!Rounds} stepping. *)
+    20 s warm-up, dt 2 ms, seed 1. *)
 
 (** {1 Registry-name mapping}
 
@@ -105,17 +93,9 @@ type result = {
 }
 
 val run : config -> result
-
-val run_batch : config array -> result array
-(** Advance all configs, spec-major, over one contiguous
-    struct-of-arrays arena: each config owns a disjoint slice of the
-    batch state and its own RNG and is stepped through its full horizon
-    before the next starts, so [run_batch configs] returns exactly
-    [Array.map run configs] — byte-identical to sequential evaluation
-    regardless of batch composition or order — while amortizing arena
-    allocation and validation across the batch. [run] itself is the
-    batch of one. Validation errors ([Invalid_argument]) are raised for
-    the first offending config, before any stepping. *)
+(** Steps the model over [duration] in explicit rounds of [dt], applying
+    loss rounds at buffer overflow. Raises [Invalid_argument] on an empty
+    flow list, a non-positive [dt], or [warmup >= duration]. *)
 
 val mean_bps_of_kind : result -> kind -> float
 (** Mean per-flow goodput over flows of the given kind; [nan] if none. *)

@@ -9,33 +9,22 @@
     (or [q = 0] when the link is under-utilized): every flow's in-flight
     data [wᵢ] is spread over its inflated round trip, and the queue length
     is whatever makes the arrival rate match the capacity. This module
-    solves that equation over bare float arrays so the per-step inner loops
-    of both backends allocate nothing.
-
-    The [base] offset lets batched callers, whose per-flow arrays
-    concatenate many specs' flows, solve the slice
-    [w.(base) .. w.(base + n - 1)] in place; single-spec callers pass
-    [~base:0]. [base] is a required (not optional) argument so no call
-    site boxes a [Some] per solve on the per-step hot path. *)
+    solves that equation over bare float arrays, one entry per flow, so
+    the per-step inner loops of both backends allocate nothing. *)
 
 val offered :
-  base:int ->
-  capacity:float -> w:float array -> rtt:float array -> n:int -> q:float ->
-  float
-(** [offered ~base ~capacity ~w ~rtt ~n ~q] is [Σᵢ wᵢ/(rttᵢ + q/capacity)]
-    over the [n] entries starting at [base] — the aggregate arrival rate
-    (bytes/s) at queue length [q] (bytes). *)
+  capacity:float -> w:float array -> rtt:float array -> q:float -> float
+(** [offered ~capacity ~w ~rtt ~q] is [Σᵢ wᵢ/(rttᵢ + q/capacity)] — the
+    aggregate arrival rate (bytes/s) at queue length [q] (bytes). [w] and
+    [rtt] hold one entry per flow. *)
 
 val solve :
-  base:int ->
-  capacity:float -> w:float array -> rtt:float array -> n:int ->
-  init:float ->
-  float
+  capacity:float -> w:float array -> rtt:float array -> init:float -> float
 (** The unconstrained fixed point [q* >= 0] (bytes). [init] is a warm-start
     guess (pass the previous step's solution, or [0.]); the solver is a
     safeguarded Newton iteration on the convex decreasing residual
     [offered q - capacity], so a warm start from a nearby solution
     converges in a couple of iterations. Allocation-free.
 
-    When every [rtt.(i)] in the slice is equal the fixed point is
-    closed-form ([Σ w - C·rtt]) and [init] is ignored. *)
+    When every [rtt.(i)] is equal the fixed point is closed-form
+    ([Σ w - C·rtt]) and [init] is ignored. *)

@@ -125,6 +125,89 @@ let test_determinism () =
         && a.B.loss_events = b.B.loss_events))
     B.all
 
+(* --- Outcome pin ------------------------------------------------------ *)
+
+(* The differential-grid cells the analytic backends are calibrated on:
+   one flow of each modelled CCA alone, then CUBIC against BBR and BBRv2
+   at a shallow and a deep buffer. *)
+let grid_specs =
+  let mk ~mbps ~buffer_bdp ccas =
+    let rate_bps = U.mbps mbps in
+    let rtt = U.ms 40.0 in
+    B.spec ~warmup:(U.seconds 5.0) ~seed:1 ~rate_bps
+      ~buffer_bytes:(U.scale buffer_bdp (U.bdp_bytes ~rate_bps ~rtt))
+      ~duration:(U.seconds 20.0)
+      (List.map (fun cca -> { B.cca; rtt }) ccas)
+  in
+  List.map
+    (fun cca -> mk ~mbps:50.0 ~buffer_bdp:1.0 [ cca ])
+    Fluidsim.Fluid_sim.supported_ccas
+  @ List.concat_map
+      (fun buffer_bdp ->
+        List.map
+          (mk ~mbps:100.0 ~buffer_bdp)
+          [ [ "cubic"; "bbr" ]; [ "cubic"; "bbr2" ] ])
+      [ 1.0; 10.0 ]
+
+(* Every float in hexadecimal, so the rendering is exact and the same on
+   every platform. *)
+let render (o : B.outcome) =
+  let h = Printf.sprintf "%h" in
+  String.concat " "
+    (Array.to_list
+       (Array.map2
+          (fun cca bps -> cca ^ "=" ^ h bps)
+          o.B.per_flow_cca o.B.per_flow_bps))
+  ^ Printf.sprintf " q=%s d=%s l=%d u=%s" (h o.B.mean_queue_bytes)
+      (h o.B.mean_queuing_delay) o.B.loss_events (h o.B.utilization)
+
+(* Pinned bit for bit: the digests' version tokens ("fluid-soa-2",
+   "ode-rk4-2") promise that a cached outcome is what a fresh run would
+   compute, so any change to these strings must come with a token bump. *)
+let pinned_outcomes =
+  [
+    ("fluid",
+     "cubic=0x1.7d784p+25 q=0x1.8d1945696d576p+17 d=0x1.0a7d0a32a756ep-5 l=4 u=0x1p+0");
+    ("fluid",
+     "bbr=0x1.788e2p+25 q=0x1.d5463377695f6p+17 d=0x1.3aecb29584cc1p-5 l=0 u=0x1.f9675f8aaa129p-1");
+    ("fluid",
+     "bbr2=0x1.788e2p+25 q=0x1.d5463377695f6p+17 d=0x1.3aecb29584cc1p-5 l=0 u=0x1.f9675f8aaa129p-1");
+    ("fluid",
+     "cubic=0x1.28d6p+18 bbr=0x1.775d8ep+26 q=0x1.d6112f77991cdp+18 d=0x1.3b74eb08dddd7p-5 l=308 u=0x1.f95cfe07d83b9p-1");
+    ("fluid",
+     "cubic=0x1.6524a60cddbd2p+26 bbr2=0x1.85399f322418cp+22 q=0x1.730a41d1b457bp+18 d=0x1.f200656d5d706p-6 l=4 u=0x1.fffffffffffe4p-1");
+    ("fluid",
+     "cubic=0x1.75ce3cd6b9b37p+26 bbr=0x1.ea80ca51930a1p+20 q=0x1.0b7b52777bfaap+22 d=0x1.670205884fbep-2 l=3 u=0x1.ffffffffffff8p-1");
+    ("fluid",
+     "cubic=0x1.7b736c6fcedacp+26 bbr2=0x1.0269c81892c82p+19 q=0x1.0996b1af29f8ep+22 d=0x1.64779099a3203p-2 l=2 u=0x1.0000000000003p+0");
+    ("ode",
+     "cubic=0x1.7d783fffffffep+25 q=0x1.e83e6f93a1435p+17 d=0x1.47a7a95ef4da4p-5 l=1 u=0x1.ffffffffffffdp-1");
+    ("ode",
+     "bbr=0x1.7d78400000011p+25 q=0x1.e848000000015p+17 d=0x1.47ae147ae1489p-5 l=0 u=0x1.000000000000bp+0");
+    ("ode",
+     "bbr2=0x1.7d78400000011p+25 q=0x1.e848000000015p+17 d=0x1.47ae147ae1489p-5 l=0 u=0x1.000000000000bp+0");
+    ("ode",
+     "cubic=0x1.5423f0e89840cp+19 bbr=0x1.7acff81e2ed07p+26 q=0x1.e848000000014p+18 d=0x1.47ae147ae1488p-5 l=66 u=0x1.000000000000ap+0");
+    ("ode",
+     "cubic=0x1.5c4ef64f880c6p+25 bbr2=0x1.9ea189b077f47p+25 q=0x1.e84800000000bp+18 d=0x1.47ae147ae1482p-5 l=18 u=0x1.0000000000004p+0");
+    ("ode",
+     "cubic=0x1.9b5aa3cdccf5ep+25 bbr=0x1.5f95dc32330cp+25 q=0x1.312d00000000dp+22 d=0x1.99999999999abp-2 l=3 u=0x1.000000000000ap+0");
+    ("ode",
+     "cubic=0x1.9b57be2ab630ep+25 bbr2=0x1.5f98c1d549d15p+25 q=0x1.312d00000000dp+22 d=0x1.99999999999abp-2 l=6 u=0x1.000000000000cp+0")
+  ]
+
+let test_outcomes_pinned () =
+  let actual =
+    List.concat_map
+      (fun backend ->
+        List.map
+          (fun s -> (B.name backend, render (B.run_exn backend s)))
+          grid_specs)
+      [ B.fluid; B.ode ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "outcomes unchanged" pinned_outcomes actual
+
 let tests =
   [
     Alcotest.test_case "registry lookup" `Quick test_registry;
@@ -133,4 +216,5 @@ let tests =
     Alcotest.test_case "digest semantics" `Quick test_digests;
     Alcotest.test_case "run and outcome helpers" `Quick test_run_and_helpers;
     Alcotest.test_case "outcomes reproducible" `Quick test_determinism;
+    Alcotest.test_case "outcomes pinned bit-exact" `Quick test_outcomes_pinned;
   ]

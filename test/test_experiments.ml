@@ -66,6 +66,22 @@ let test_write_csv () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* A missing parent is created too, not only the leaf directory. *)
+let test_write_csv_nested () =
+  let root = Filename.temp_file "repro" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let table =
+    { Common.id = "unit"; title = "t"; header = [ "x" ]; rows = [ [ "1" ] ];
+      notes = [] }
+  in
+  let path = Common.write_csv ~dir table in
+  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 let test_print_table_no_exn () =
   let table =
     { Common.id = "unit"; title = "t"; header = [ "col" ];
@@ -268,10 +284,8 @@ let test_run_specs_memo_dedupes () =
       [ { Sim_backend.cca; rtt } ]
   in
   let memo = Runs.memo () in
-  (* batch:1 so jobs_executed counts specs, making the dedup visible;
-     batching (batch > 1) merges misses into chunks and is covered by
-     test_batch.ml. *)
-  let ctx = Common.ctx ~batch:1 Common.Quick in
+  (* Each miss is one Exec job, so jobs_executed counts specs run. *)
+  let ctx = Common.quick in
   let before = (Sim_engine.Exec.counters ()).jobs_executed in
   let outcomes =
     Runs.run_specs_memo ~memo ctx Sim_backend.ode
@@ -289,6 +303,79 @@ let test_run_specs_memo_dedupes () =
   Alcotest.(check int) "memo hit runs nothing" 0 second_batch;
   Alcotest.(check bool) "memo returns the same outcome" true
     (List.nth outcomes 1 = List.hd again)
+
+(* Byte-level equality is the contract under test, so these tests marshal
+   directly rather than through the Exec cache. *)
+let bytes v = Marshal.to_string v [] (* simlint: allow R2 *)
+
+let test_run_specs_jobs_invariant () =
+  let specs = Test_backend.grid_specs in
+  let run jobs =
+    bytes
+      (Runs.run_specs (Common.ctx ~jobs Common.Quick) Sim_backend.fluid specs)
+  in
+  let reference = run 1 in
+  Alcotest.(check bool) "jobs 3 = sequential" true
+    (String.equal reference (run 3))
+
+(* --- Runs.memo: LRU cap --- *)
+
+let memo_spec ~buffer_bdp ~seed cca =
+  let rate_bps = Sim_engine.Units.mbps 50.0 in
+  let rtt = Sim_engine.Units.ms 40.0 in
+  Sim_backend.spec ~seed ~rate_bps
+    ~buffer_bytes:
+      (Sim_engine.Units.scale buffer_bdp
+         (Sim_engine.Units.bdp_bytes ~rate_bps ~rtt))
+    ~duration:(Sim_engine.Units.seconds 8.0)
+    [ { Sim_backend.cca; rtt } ]
+
+let test_memo_cap_validation () =
+  match Runs.memo ~cap:0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "memo ~cap:0 accepted"
+
+let test_memo_eviction () =
+  let ctx = Common.quick in
+  let specs =
+    List.map
+      (fun seed -> memo_spec ~buffer_bdp:(float_of_int seed) ~seed "cubic")
+      [ 1; 2; 3 ]
+  in
+  let expected = bytes (Runs.run_specs ctx Sim_backend.fluid specs) in
+  let memo = Runs.memo ~cap:2 () in
+  let before = (Sim_engine.Exec.counters ()).memo_evictions in
+  (* Three distinct outcomes through a 2-slot memo: at least one entry
+     must be evicted, and a second pass (re-missing whatever was
+     evicted) must still return the same bytes. *)
+  let first = bytes (Runs.run_specs_memo ~memo ctx Sim_backend.fluid specs) in
+  let second = bytes (Runs.run_specs_memo ~memo ctx Sim_backend.fluid specs) in
+  let after = (Sim_engine.Exec.counters ()).memo_evictions in
+  Alcotest.(check bool) "evictions counted" true (after > before);
+  Alcotest.(check bool) "first pass correct" true (String.equal expected first);
+  Alcotest.(check bool)
+    "second pass correct despite evictions" true
+    (String.equal expected second)
+
+let test_memo_results_cap_independent () =
+  let specs =
+    List.map
+      (fun seed -> memo_spec ~buffer_bdp:2.0 ~seed "bbr")
+      [ 1; 2; 3; 1; 2 ]
+  in
+  let run cap =
+    bytes
+      (Runs.run_specs_memo ~memo:(Runs.memo ~cap ()) Common.quick
+         Sim_backend.fluid specs)
+  in
+  let unbounded = run 4096 in
+  List.iter
+    (fun cap ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d = cap 4096" cap)
+        true
+        (String.equal unbounded (run cap)))
+    [ 1; 2 ]
 
 (* --- the evolve driver --- *)
 
@@ -321,6 +408,7 @@ let tests =
     Alcotest.test_case "grids" `Quick test_grids;
     Alcotest.test_case "csv escaping" `Quick test_csv;
     Alcotest.test_case "write csv" `Quick test_write_csv;
+    Alcotest.test_case "write csv nested dir" `Quick test_write_csv_nested;
     Alcotest.test_case "print table" `Quick test_print_table_no_exn;
     Alcotest.test_case "memoize" `Quick test_memoize;
     Alcotest.test_case "NE search crossing" `Quick
@@ -342,6 +430,13 @@ let tests =
       test_fig10_br_detects_cycle;
     Alcotest.test_case "run_specs_memo dedupes" `Quick
       test_run_specs_memo_dedupes;
+    Alcotest.test_case "run_specs invariant under jobs" `Quick
+      test_run_specs_jobs_invariant;
+    Alcotest.test_case "memo cap validation" `Quick test_memo_cap_validation;
+    Alcotest.test_case "memo eviction counted, results intact" `Quick
+      test_memo_eviction;
+    Alcotest.test_case "memo results cap-independent" `Quick
+      test_memo_results_cap_independent;
     Alcotest.test_case "evolve jobs-deterministic" `Quick
       test_adoption_jobs_deterministic;
     Alcotest.test_case "fig12 regimes" `Quick test_fig12_regimes;
