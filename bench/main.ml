@@ -87,6 +87,31 @@ let event_queue_1k () =
     ()
   done
 
+(* 1,000 lanes, 2 of them busy: each busy lane re-pushes onto itself
+   until 10,000 deliveries have fired. The lanes live across runs, as a
+   churn run's pipe lanes outlive their flows, so this times the event
+   loop alone: a loop that scans every lane head pays for the 998 idle
+   ones on every event, the active-lane heap orders only the 2 busy
+   ones. *)
+let lanes_1k_idle =
+  let sim = Sim_engine.Sim.create () in
+  let left = ref 0 in
+  let deliver = ref ignore in
+  let lanes =
+    Array.init 1000 (fun _ ->
+        Sim_engine.Sim.lane sim ~dummy:0 ~deliver:(fun i -> !deliver i))
+  in
+  (deliver :=
+     fun i ->
+       decr left;
+       if !left > 1 then
+         Sim_engine.Sim.schedule_packet sim lanes.(i) ~delay:0.001 i);
+  fun () ->
+    left := 10_000;
+    Sim_engine.Sim.schedule_packet sim lanes.(0) ~delay:0.0 0;
+    Sim_engine.Sim.schedule_packet sim lanes.(1) ~delay:0.0 1;
+    Sim_engine.Sim.run sim
+
 let windowed_max_filter () =
   let f = Cca.Windowed_filter.Max_rounds.create ~window:10 in
   for round = 0 to 999 do
@@ -191,6 +216,7 @@ let figure_tests =
 let substrate_tests =
   [
     Test.make ~name:"engine/event-queue-1k" (Staged.stage event_queue_1k);
+    Test.make ~name:"engine/lanes-1k-idle" (Staged.stage lanes_1k_idle);
     Test.make ~name:"engine/rng-splitmix"
       (Staged.stage (fun () ->
            let rng = Sim_engine.Rng.create 7 in
@@ -332,6 +358,21 @@ let workload_tests =
 let fluid_baseline =
   [ ("bench fluid/short-10flows-pre-soa", 18_615_018.921, 8_673_185.907) ]
 
+(* The same kernels before the active-lane heap, when every event scanned
+   all lane heads, each lane push boxed its timestamp and the queue kept
+   per-flow bytes in a Hashtbl: medians of three runs of the pre-change
+   tree, interleaved with runs of this one on the same host, so
+   BENCH_micro.json and BENCH_workload.json carry their own before/after
+   pairs. *)
+let micro_baseline =
+  [
+    ("bench engine/lanes-1k-idle-pre-lane-heap", 27_599_982.901, 43_210.429);
+    ("bench netsim/droptail-queue-pre-flow-array", 249_521.377, 11_554.445);
+  ]
+
+let workload_baseline =
+  [ ("bench workload/churn-6s-40pct-pre-lane-heap", 6_716_091.667, 286_462.049) ]
+
 (* --- Analytic sweep ---------------------------------------------------- *)
 
 module B = Sim_backend
@@ -386,10 +427,13 @@ let sweep_baseline = [ ("fluid", 434.5); ("ode", 660.1) ]
 let alloc_gates =
   [
     ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
+    (* Heap maintenance on push, pop and re-push is allocation-free: a
+       run of 10,000 lane events must stay near zero words. *)
+    ("engine/lanes-1k-idle", 50, 100.0, lanes_1k_idle);
     ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 880_000.0, short_sim ~other:"bbr");
-    ("fig07/short-sim-vivace", 3, 935_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 620_000.0, short_sim ~other:"bbr");
+    ("fig07/short-sim-vivace", 3, 675_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
@@ -408,7 +452,7 @@ let alloc_gates =
        (sim + dumbbell + schedule) plus per-tenant CC state — it must not
        scale with segments sent. A breach means the rebind/ACK path
        started allocating per packet. *)
-    ("workload/churn-6s-40pct", 3, 310_000.0, churn_run);
+    ("workload/churn-6s-40pct", 3, 270_000.0, churn_run);
   ]
 
 let run_alloc_gates () =
@@ -776,7 +820,8 @@ let () =
   end;
   if List.mem "micro" sections then begin
     Printf.printf "==== Bechamel micro-benchmarks ====\n%!";
-    run_bechamel ~section:"micro" (figure_tests @ substrate_tests)
+    run_bechamel ~baseline:micro_baseline ~section:"micro"
+      (figure_tests @ substrate_tests)
   end;
   if List.mem "fluid" sections then begin
     Printf.printf "==== Analytic-backend benchmarks ====\n%!";
@@ -789,7 +834,8 @@ let () =
   end;
   if List.mem "workload" sections then begin
     Printf.printf "==== Workload / churn benchmarks ====\n%!";
-    run_bechamel ~section:"workload" workload_tests
+    run_bechamel ~baseline:workload_baseline ~section:"workload"
+      workload_tests
   end;
   if List.mem "scaling" sections then begin
     Printf.printf "\n==== Parallel executor scaling ====\n%!";

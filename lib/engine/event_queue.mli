@@ -48,7 +48,7 @@ val is_empty : t -> bool
 
 (** {2 Raw accessors}
 
-    Allocation-free primitives for {!Sim}'s merge loop. Callers must
+    Allocation-free primitives for {!Sim}'s event loop. Callers must
     {!settle} first, check {!heap_length}, and only then read the head. *)
 
 val settle : t -> unit

@@ -3,10 +3,10 @@
    Network elements with per-packet constant delay (a propagation pipe, a
    serializing link, a fixed reverse path) deliver in send order, so their
    events don't need a heap at all: the lane keeps them in a ring and the
-   simulator merges only the lane *head* with the heap. This shrinks the
-   heap from O(packets in flight) to O(lanes + timers), and a push/pop
-   cycle allocates nothing — the payload is stored in the ring, not
-   captured in a closure.
+   simulator orders only the lane *heads* against the timer heap. This
+   shrinks the timer heap from O(packets in flight) to O(timers), and a
+   push/pop cycle allocates nothing — the payload is stored in the ring,
+   not captured in a closure.
 
    Every entry still carries the global (time, seq) pair, so the merged
    schedule is bit-for-bit the order a single heap would have produced. *)
@@ -17,10 +17,15 @@ type view = {
          when the lane is empty. *)
   mutable head_seq : int;
   mutable queued : int;
-  mutable fire : unit -> unit;
+  mutable pop : unit -> unit;
+  mutable deliver_popped : unit -> unit;
 }
 
 type 'a t = {
+  clock : float array;
+      (* The owning simulator's singleton [now] cell: entry times are
+         computed here from a delay, so no float crosses the module
+         boundary boxed. *)
   deliver : 'a -> unit;
   dummy : 'a;
   mutable times : float array;
@@ -28,12 +33,22 @@ type 'a t = {
   mutable items : 'a array;
   mutable head : int;
   mutable len : int;
+  mutable popped : 'a;
+      (* The payload [pop_head] took off the ring, held until
+         [deliver_popped] hands it on; [dummy] otherwise. *)
   view : view;
 }
 
 let initial = 16
 
-let refresh_view t =
+let pop_head t =
+  let cap = Array.length t.times in
+  let h = t.head in
+  t.popped <- t.items.(h);
+  t.items.(h) <- t.dummy;
+  let h = if h + 1 = cap then 0 else h + 1 in
+  t.head <- h;
+  t.len <- t.len - 1;
   let v = t.view in
   v.queued <- t.len;
   if t.len = 0 then begin
@@ -41,28 +56,23 @@ let refresh_view t =
     v.head_seq <- max_int
   end
   else begin
-    v.head_time.(0) <- t.times.(t.head);
-    v.head_seq <- t.seqs.(t.head)
+    v.head_time.(0) <- t.times.(h);
+    v.head_seq <- t.seqs.(h)
   end
 
-let fire_head t =
-  let cap = Array.length t.times in
-  let h = t.head in
-  let x = t.items.(h) in
-  t.items.(h) <- t.dummy;
-  t.head <- (if h + 1 = cap then 0 else h + 1);
-  t.len <- t.len - 1;
-  refresh_view t;
-  (* Deliver after the pop so the callback can push new entries. *)
+let deliver_popped t =
+  let x = t.popped in
+  t.popped <- t.dummy;
   t.deliver x
 
-let create ~dummy ~deliver =
+let create ~clock ~dummy ~deliver =
   let view =
     { head_time = [| infinity |]; head_seq = max_int; queued = 0;
-      fire = ignore }
+      pop = ignore; deliver_popped = ignore }
   in
   let t =
     {
+      clock;
       deliver;
       dummy;
       times = Array.make initial infinity;
@@ -70,10 +80,12 @@ let create ~dummy ~deliver =
       items = Array.make initial dummy;
       head = 0;
       len = 0;
+      popped = dummy;
       view;
     }
   in
-  view.fire <- (fun () -> fire_head t);
+  view.pop <- (fun () -> pop_head t);
+  view.deliver_popped <- (fun () -> deliver_popped t);
   t
 
 let view t = t.view
@@ -102,9 +114,10 @@ let tail_time t =
   let last = t.head + t.len - 1 in
   t.times.(if last >= cap then last - cap else last)
 
-let can_accept t ~time = t.len = 0 || time >= tail_time t
+let can_accept t ~delay = t.len = 0 || t.clock.(0) +. delay >= tail_time t
 
-let push t ~time ~seq x =
+let push t ~delay ~seq x =
+  let time = t.clock.(0) +. delay in
   if Float.is_nan time then invalid_arg "Lane.push: NaN time";
   if t.len > 0 && time < tail_time t then
     invalid_arg "Lane.push: time before lane tail (FIFO violation)";

@@ -5,14 +5,12 @@ type t = {
          record. *)
   queue : Event_queue.t;
   root_rng : Rng.t;
-  mutable lanes : Lane.view array;
-  mutable n_lanes : int;
-  (* Merge-loop scratch, hoisted here so the loop allocates nothing.
-     [best_time] is a singleton float array: float-array writes don't
-     box, unlike writes to a mutable float field of a mixed record. *)
-  best_time : float array;
-  mutable best_seq : int;
-  mutable best_lane : int;
+  mutable active : Lane.view array;
+  mutable n_active : int;
+      (* Binary min-heap of the non-empty lanes, keyed by their head's
+         (time, seq). Lanes enter when a push makes them non-empty and
+         leave when a pop empties them, so idle lanes cost nothing per
+         event. *)
 }
 
 type handle = Event_queue.handle
@@ -23,11 +21,8 @@ let create ?(seed = 42) () =
     now = [| 0.0 |];
     queue = Event_queue.create ();
     root_rng = Rng.create seed;
-    lanes = [||];
-    n_lanes = 0;
-    best_time = [| infinity |];
-    best_seq = max_int;
-    best_lane = -1;
+    active = [||];
+    n_active = 0;
   }
 
 let now t = t.now.(0)
@@ -48,70 +43,113 @@ let cancel t h = Event_queue.cancel t.queue h
 let null_handle = Event_queue.none
 let is_null = Event_queue.is_none
 
-let lane t ~dummy ~deliver =
-  let l = Lane.create ~dummy ~deliver in
-  let v = Lane.view l in
-  if t.n_lanes = Array.length t.lanes then begin
-    let cap = max 4 (2 * Array.length t.lanes) in
-    let lanes = Array.make cap v in
-    Array.blit t.lanes 0 lanes 0 t.n_lanes;
-    t.lanes <- lanes
+(* ---------- active-lane heap ---------- *)
+
+(* Heads are unique: every entry carries its own seq. *)
+let earlier (a : Lane.view) (b : Lane.view) =
+  let ta = a.head_time.(0) and tb = b.head_time.(0) in
+  ta < tb || (ta = tb && a.head_seq < b.head_seq)
+
+(* Both sifts carry [v] through a hole and store it once at its place,
+   instead of swapping at every level. *)
+let rec sift_up a v i =
+  if i = 0 then a.(0) <- v
+  else begin
+    let parent = (i - 1) / 2 in
+    let p = a.(parent) in
+    if earlier v p then begin
+      a.(i) <- p;
+      sift_up a v parent
+    end
+    else a.(i) <- v
+  end
+
+let rec sift_down a n v i =
+  let left = (2 * i) + 1 in
+  if left >= n then a.(i) <- v
+  else begin
+    let right = left + 1 in
+    let c = if right < n && earlier a.(right) a.(left) then right else left in
+    let child = a.(c) in
+    if earlier child v then begin
+      a.(i) <- child;
+      sift_down a n v c
+    end
+    else a.(i) <- v
+  end
+
+let[@simlint.alloc_ok "amortized geometric growth; the heap never shrinks"]
+    grow_active t v =
+  let active = Array.make (max 8 (2 * t.n_active)) v in
+  Array.blit t.active 0 active 0 t.n_active;
+  t.active <- active
+
+let insert t v =
+  if t.n_active = Array.length t.active then grow_active t v;
+  let i = t.n_active in
+  t.n_active <- i + 1;
+  sift_up t.active v i
+
+(* Fire the earliest lane. The heap is made valid again between the pop
+   and the delivery, because the callback may push onto this lane (even
+   the one its pop just emptied) or onto any other. *)
+let fire_root t =
+  let a = t.active in
+  let v = a.(0) in
+  v.Lane.pop ();
+  if v.Lane.queued > 0 then sift_down a t.n_active v 0
+  else begin
+    let last = t.n_active - 1 in
+    t.n_active <- last;
+    if last > 0 then sift_down a last a.(last) 0
   end;
-  t.lanes.(t.n_lanes) <- v;
-  t.n_lanes <- t.n_lanes + 1;
-  l
+  v.Lane.deliver_popped ()
+
+(* ---------- lanes ---------- *)
+
+let lane t ~dummy ~deliver = Lane.create ~clock:t.now ~dummy ~deliver
 
 let schedule_packet t l ~delay x =
   if not (delay >= 0.0) then
     invalid_arg "Sim.schedule_packet: negative delay";
-  let time = t.now.(0) +. delay in
-  if Lane.can_accept l ~time then
-    Lane.push l ~time ~seq:(Event_queue.take_seq t.queue) x
+  if Lane.can_accept l ~delay then begin
+    Lane.push l ~delay ~seq:(Event_queue.take_seq t.queue) x;
+    if Lane.length l = 1 then insert t (Lane.view l)
+  end
   else
     (* Out-of-FIFO delivery (e.g. a delay function that varies per
        packet): fall back to the heap. Ordering stays global (time, seq)
        either way; only the allocation profile differs. *)
     ignore
-      (Event_queue.add t.queue ~time
+      (Event_queue.add t.queue ~time:(t.now.(0) +. delay)
          ((fun () -> Lane.apply l x)
          [@simlint.alloc_ok
            "heap fallback for out-of-FIFO delivery; the lane fast path \
             builds no closure"]))
 
-(* One N-way merge step: find the earliest (time, seq) among the heap head
-   and every lane head, leaving the choice in [best_time]/[best_seq]/
-   [best_lane] ([best_lane] = -1 for the heap). *)
-let select t =
-  let q = t.queue in
-  Event_queue.settle q;
-  if Event_queue.heap_length q = 0 then begin
-    t.best_time.(0) <- infinity;
-    t.best_seq <- max_int
-  end
-  else begin
-    t.best_time.(0) <- Event_queue.head_time_unsafe q;
-    t.best_seq <- Event_queue.head_seq_unsafe q
-  end;
-  t.best_lane <- -1;
-  for i = 0 to t.n_lanes - 1 do
-    let v = t.lanes.(i) in
-    let vt = v.Lane.head_time.(0) in
-    if
-      vt < t.best_time.(0)
-      || (vt = t.best_time.(0) && v.Lane.head_seq < t.best_seq)
-    then begin
-      t.best_time.(0) <- vt;
-      t.best_seq <- v.Lane.head_seq;
-      t.best_lane <- i
-    end
-  done
+(* ---------- event loop ---------- *)
 
 let run ?until t =
   let limit = match until with Some l -> l | None -> infinity in
+  let q = t.queue in
   let continue = ref true in
   while !continue do
-    select t;
-    let time = t.best_time.(0) in
+    Event_queue.settle q;
+    let timers = Event_queue.heap_length q > 0 in
+    (* Read once per event: the call returns a boxed float. *)
+    let qt = if timers then Event_queue.head_time_unsafe q else infinity in
+    (* The earliest lane goes first if its head is earlier in the global
+       (time, seq) order than the timer heap's head. *)
+    let from_lane =
+      t.n_active > 0
+      &&
+      let v = t.active.(0) in
+      let vt = v.Lane.head_time.(0) in
+      vt < qt
+      || vt = qt && timers
+         && v.Lane.head_seq < Event_queue.head_seq_unsafe q
+    in
+    let time = if from_lane then t.active.(0).Lane.head_time.(0) else qt in
     if time = infinity then continue := false
     else if time > limit then begin
       t.now.(0) <- limit;
@@ -119,8 +157,7 @@ let run ?until t =
     end
     else begin
       t.now.(0) <- time;
-      if t.best_lane >= 0 then t.lanes.(t.best_lane).Lane.fire ()
-      else (Event_queue.take_head t.queue) ()
+      if from_lane then fire_root t else (Event_queue.take_head q) ()
     end
   done;
   match until with
@@ -129,7 +166,7 @@ let run ?until t =
 
 let pending_events t =
   let n = ref (Event_queue.size t.queue) in
-  for i = 0 to t.n_lanes - 1 do
-    n := !n + t.lanes.(i).Lane.queued
+  for i = 0 to t.n_active - 1 do
+    n := !n + t.active.(i).Lane.queued
   done;
   !n

@@ -56,21 +56,28 @@ val null_handle : handle
 val is_null : handle -> bool
 
 val lane : t -> dummy:'a -> deliver:('a -> unit) -> 'a lane
-(** Register a delivery lane. [deliver] is the pre-registered callback
+(** Create a delivery lane. [deliver] is the pre-registered callback
     every payload on this lane is handed to; [dummy] fills empty ring
-    cells. Registration is O(1) amortized and should happen once per
-    network element, not per packet. *)
+    cells. Create lanes once per network element, not per packet. An
+    empty lane costs nothing per event: {!run} only orders the non-empty
+    lanes, in a binary heap keyed by their head's (time, seq). *)
 
 val schedule_packet : t -> 'a lane -> delay:float -> 'a -> unit
 (** [schedule_packet t lane ~delay p] delivers [p] to the lane's callback
     at [now t +. delay], allocation-free. Deliveries on a lane must be
     FIFO: if [delay] would put this delivery before an already-queued one,
     the event transparently falls back to the heap (allocating a closure)
-    — global (time, seq) ordering is preserved either way. *)
+    — global (time, seq) ordering is preserved either way. A push that
+    makes the lane non-empty inserts it into the active-lane heap,
+    O(log active lanes). *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in order until the queue is empty, or until the first
-    event strictly after [until] (the clock is then left at [until]). *)
+    event strictly after [until] (the clock is then left at [until]).
+    Each step compares the earliest active lane with the timer heap's
+    head, so an event costs O(log active lanes + log timers), independent
+    of how many lanes were ever created. Callbacks may schedule onto any
+    lane, including the one being fired. *)
 
 val pending_events : t -> int
 (** Live scheduled events: heap timers plus queued lane deliveries. *)

@@ -20,7 +20,9 @@ type t = {
   mutable len : int;
   mutable bytes : int;
   mutable avg_bytes : float;  (* RED EWMA; tracks [bytes] under Tail_drop *)
-  per_flow : (int, int) Hashtbl.t;
+  mutable per_flow : int array;
+      (* Bytes queued per flow, indexed by flow id (ids are small and
+         dense: static flows, then churn ids counting up). *)
   mutable drops : int;
   mutable early_drops : int;
   mutable dropped_bytes : int;
@@ -59,7 +61,7 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
     len = 0;
     bytes = 0;
     avg_bytes = 0.0;
-    per_flow = Hashtbl.create 16;
+    per_flow = Array.make 16 0;
     drops = 0;
     early_drops = 0;
     dropped_bytes = 0;
@@ -70,11 +72,15 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
 
 let capacity_bytes t = t.capacity_bytes
 
-let[@simlint.alloc_ok
-     "Hashtbl.replace mutates an existing bucket in place; a cons is only \
-      built the first time a flow appears"] adjust_flow t flow delta =
-  let current = try Hashtbl.find t.per_flow flow with Not_found -> 0 in
-  Hashtbl.replace t.per_flow flow (current + delta)
+let[@simlint.alloc_ok "amortized geometric growth; the table never shrinks"]
+    grow_per_flow t flow =
+  let a = Array.make (max (flow + 1) (2 * Array.length t.per_flow)) 0 in
+  Array.blit t.per_flow 0 a 0 (Array.length t.per_flow);
+  t.per_flow <- a
+
+let adjust_flow t flow delta =
+  if flow >= Array.length t.per_flow then grow_per_flow t flow;
+  t.per_flow.(flow) <- t.per_flow.(flow) + delta
 
 let[@simlint.alloc_ok "amortized geometric growth; the ring never shrinks"]
     grow t =
@@ -119,6 +125,7 @@ let record_drop t (p : Packet.t) ~early =
   Dropped
 
 let enqueue t (p : Packet.t) =
+  if p.flow < 0 then invalid_arg "Droptail_queue.enqueue: negative flow id";
   if t.bytes + p.size > t.capacity_bytes then record_drop t p ~early:false
   else if red_early_drop t then record_drop t p ~early:true
   else begin
@@ -150,14 +157,7 @@ let dequeue t = if t.len = 0 then None else Some (dequeue_exn t)
 let occupancy_bytes t = t.bytes
 
 let occupancy_of_flow t flow =
-  try Hashtbl.find t.per_flow flow with Not_found -> 0
-
-let[@simlint.taint_ok "integer sum over a fold: commutative, order-free"]
-    occupancy_of_flows t pred =
-  (* Hash order is harmless: integer addition is commutative. *)
-  Hashtbl.fold (* simlint: allow R1 *)
-    (fun flow bytes acc -> if pred flow then acc + bytes else acc)
-    t.per_flow 0
+  if flow >= 0 && flow < Array.length t.per_flow then t.per_flow.(flow) else 0
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -33,6 +33,8 @@ val create : ?policy:policy -> capacity_bytes:int -> unit -> t
 val capacity_bytes : t -> int
 
 val enqueue : t -> Packet.t -> verdict
+(** Raises [Invalid_argument] on a negative flow id: per-flow bytes live
+    in an array indexed by flow id. *)
 
 val dequeue : t -> Packet.t option
 
@@ -46,10 +48,8 @@ val occupancy_bytes : t -> int
 (** Total bytes currently queued. *)
 
 val occupancy_of_flow : t -> int -> int
-(** Bytes currently queued belonging to the given flow id. *)
-
-val occupancy_of_flows : t -> (int -> bool) -> int
-(** Total bytes queued over flows whose id satisfies the predicate. *)
+(** Bytes currently queued belonging to the given flow id, O(1); 0 for an
+    id never enqueued. *)
 
 val length : t -> int
 (** Number of queued packets. *)

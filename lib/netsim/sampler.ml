@@ -3,18 +3,23 @@ type t = {
   queue : Droptail_queue.t;
   period : float;
   total : Sim_engine.Timeseries.t;
-  classes : (string * (int -> bool) * Sim_engine.Timeseries.t) list;
+  classes : (string * int list * Sim_engine.Timeseries.t) list;
   mutable running : bool;
   mutable tick_cb : unit -> unit;
       (* Allocated once; rescheduling a periodic tick reuses it instead of
          closing over [t] afresh every period. *)
 }
 
+let rec class_bytes queue acc = function
+  | [] -> acc
+  | flow :: rest ->
+    class_bytes queue (acc + Droptail_queue.occupancy_of_flow queue flow) rest
+
 let rec record_classes t now = function
   | [] -> ()
-  | (_, pred, series) :: rest ->
+  | (_, flows, series) :: rest ->
     Sim_engine.Timeseries.record series ~time:now
-      (float_of_int (Droptail_queue.occupancy_of_flows t.queue pred));
+      (float_of_int (class_bytes t.queue 0 flows));
     record_classes t now rest
 
 let sample t =
@@ -33,7 +38,7 @@ let create ~sim ~queue ~period ?(flow_classes = []) () =
   if period <= 0.0 then invalid_arg "Sampler.create: period";
   let classes =
     List.map
-      (fun (name, pred) -> (name, pred, Sim_engine.Timeseries.create ()))
+      (fun (name, flows) -> (name, flows, Sim_engine.Timeseries.create ()))
       flow_classes
   in
   let t =

@@ -9,11 +9,13 @@ val create :
   sim:Sim_engine.Sim.t ->
   queue:Droptail_queue.t ->
   period:float ->
-  ?flow_classes:(string * (int -> bool)) list ->
+  ?flow_classes:(string * int list) list ->
   unit ->
   t
 (** Starts sampling immediately and then every [period] seconds. Each sample
-    records total occupancy plus one series per named flow class. *)
+    records total occupancy plus one series per named flow class: the
+    bytes queued for the class's member flow ids, so a tick costs
+    O(members), however many other flows the queue has seen. *)
 
 val stop : t -> unit
 

@@ -122,7 +122,7 @@ type live = {
   sampler : Netsim.Sampler.t;
   flow_tracers : Flow_trace.t array;
   delivered_at_warmup : float array;
-  flow_classes : (string * (int -> bool)) list;
+  flow_classes : (string * int list) list;
   churn : Churn.t option;
 }
 
@@ -159,15 +159,13 @@ let setup ?trace config =
     Netsim.Dumbbell.create ~policy ?trace ~sim ~rate_bps:config.rate_bps
       ~buffer_bytes:config.buffer_bytes ~flows:specs ()
   in
-  let cca_of_flow = Array.map (fun f -> f.cca) flows in
   let flow_classes =
-    (* The bound guard keeps the predicate total once churn flows (ids at
-       and above the static population) share the queue: class series
-       measure the long-lived flows only. *)
+    (* Members are static flow ids only: churn flows (ids at and above the
+       static population) share the queue, but class series measure the
+       long-lived flows. *)
+    let ids = List.init (Array.length flows) Fun.id in
     List.map
-      (fun name ->
-        ( name,
-          fun id -> id < Array.length cca_of_flow && cca_of_flow.(id) = name ))
+      (fun name -> (name, List.filter (fun id -> flows.(id).cca = name) ids))
       (distinct_ccas config.flows)
   in
   let sampler =
