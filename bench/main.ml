@@ -368,10 +368,20 @@ let micro_baseline =
   [
     ("bench engine/lanes-1k-idle-pre-lane-heap", 27_599_982.901, 43_210.429);
     ("bench netsim/droptail-queue-pre-flow-array", 249_521.377, 11_554.445);
+    (* Before the dumbbell's delay-class lanes and flow table (per-flow
+       pipe lanes, per-slot ACK lanes, per-packet Hashtbl lookups);
+       medians of three interleaved runs on a shared 2-core host. *)
+    ( "bench tcpflow/short-sim-cubic-v-bbr-pre-delay-class-lanes",
+      10_160_907.0, 564_129.426 );
+    ("bench fig08/short-sim-bbr-pre-delay-class-lanes", 9_599_276.0, 564_795.083);
   ]
 
 let workload_baseline =
-  [ ("bench workload/churn-6s-40pct-pre-lane-heap", 6_716_091.667, 286_462.049) ]
+  [
+    ("bench workload/churn-6s-40pct-pre-lane-heap", 6_716_091.667, 286_462.049);
+    ( "bench workload/churn-6s-40pct-pre-delay-class-lanes", 4_684_325.0,
+      244_274.960 );
+  ]
 
 (* --- Analytic sweep ---------------------------------------------------- *)
 
@@ -432,8 +442,8 @@ let alloc_gates =
     ("engine/lanes-1k-idle", 50, 100.0, lanes_1k_idle);
     ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 620_000.0, short_sim ~other:"bbr");
-    ("fig07/short-sim-vivace", 3, 675_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 607_000.0, short_sim ~other:"bbr");
+    ("fig07/short-sim-vivace", 3, 665_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
@@ -452,7 +462,7 @@ let alloc_gates =
        (sim + dumbbell + schedule) plus per-tenant CC state — it must not
        scale with segments sent. A breach means the rebind/ACK path
        started allocating per packet. *)
-    ("workload/churn-6s-40pct", 3, 270_000.0, churn_run);
+    ("workload/churn-6s-40pct", 3, 242_000.0, churn_run);
   ]
 
 let run_alloc_gates () =

@@ -46,25 +46,6 @@ let observed_equilibria ?epsilon ~n ~fair_bps ~payoff ~window () =
     [ crossing ]
   | ne -> ne
 
-let backend_payoff ?ctx ~backend ~spec ~other ~rtt ~n () =
-  memoize (fun k ->
-      if k < 0 || k > n then invalid_arg "backend_payoff: k out of range";
-      let flows =
-        List.init (n - k) (fun _ -> { Sim_backend.cca = "cubic"; rtt })
-        @ List.init k (fun _ -> { Sim_backend.cca = other; rtt })
-      in
-      let spec = { spec with Sim_backend.flows } in
-      let outcome =
-        match ctx with
-        | Some ctx -> (
-          match Runs.run_specs ctx backend [ spec ] with
-          | [ o ] -> o
-          | _ -> assert false)
-        | None -> Sim_backend.run_exn backend spec
-      in
-      ( Sim_backend.mean_bps_of_cca outcome "cubic",
-        Sim_backend.mean_bps_of_cca outcome other ))
-
 let packet_payoff ?duration ?warmup ~ctx ~mbps ~rtt_ms ~buffer_bdp ~other ~n
     () =
   memoize (fun k ->

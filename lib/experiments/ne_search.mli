@@ -27,23 +27,6 @@ val observed_equilibria :
     passing the check, the fair-share crossing itself is reported (the
     paper's Eq. 25 locator). *)
 
-val backend_payoff :
-  ?ctx:Common.ctx ->
-  backend:Sim_backend.t ->
-  spec:Sim_backend.spec ->
-  other:string ->
-  rtt:Sim_engine.Units.seconds ->
-  n:int ->
-  unit ->
-  payoff_fn
-(** Payoffs measured by any {!Sim_backend}: k flows of [other] vs n−k
-    CUBIC flows, all at [rtt], on [spec]'s bottleneck (its [flows] field
-    is replaced each probe). With [ctx], runs go through
-    {!Runs.run_specs} and hit the ctx's on-disk cache. Memoized.
-    Supersedes the old fluid-only [fluid_payoff]: pass
-    [backend:Sim_backend.fluid] for the historical behavior, or the ODE
-    backend for a deterministic search. *)
-
 val packet_payoff :
   ?duration:Sim_engine.Units.seconds ->
   ?warmup:Sim_engine.Units.seconds ->

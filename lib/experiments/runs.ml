@@ -44,42 +44,43 @@ let run_traced ~dir (key, config) =
   close_out mc;
   result
 
-(* The cache discipline shared by [eval] and [run_specs]: consult the
-   cache, farm the misses out to the ctx's worker pool, persist what was
-   computed, and return results in input order. One lookup (and at most
-   one run) per distinct digest, even when a batch repeats a grid
-   point. *)
-let evaluate (ctx : Common.ctx) ~digest ~run items =
-  match ctx.cache_dir with
-  | None -> Sim_engine.Exec.map_list ~jobs:ctx.jobs run items
-  | Some dir ->
-    let cache = Sim_engine.Exec.Cache.create dir in
-    let keyed = List.map (fun x -> (digest x, x)) items in
-    let known = Hashtbl.create 16 in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem known key || Hashtbl.mem pending key then false
-          else
-            match Sim_engine.Exec.Cache.find cache ~key with
-            | Some result ->
-              Hashtbl.add known key result;
-              false
-            | None ->
-              Hashtbl.add pending key ();
-              true)
-        keyed
-    in
-    let computed =
-      Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (_, x) -> run x) to_run
-    in
-    List.iter2
-      (fun (key, _) result ->
-        Sim_engine.Exec.Cache.store cache ~key result;
-        Hashtbl.replace known key result)
-      to_run computed;
-    List.map (fun (key, _) -> Hashtbl.find known key) keyed
+(* The evaluation loop shared by [eval] and [run_specs]: one run per
+   distinct digest, even when a batch repeats a grid point. With a cache
+   (and [cached], the default), hits are served from it, the misses are
+   farmed out to the ctx's worker pool and what was computed is persisted.
+   Results come back in input order. [run] gets each item with its
+   digest. *)
+let evaluate ?(cached = true) (ctx : Common.ctx) ~digest ~run items =
+  let cache =
+    if cached then Option.map Sim_engine.Exec.Cache.create ctx.cache_dir
+    else None
+  in
+  let keyed = List.map (fun x -> (digest x, x)) items in
+  let known = Hashtbl.create 16 in
+  let pending = Hashtbl.create 16 in
+  let to_run =
+    List.filter
+      (fun (key, _) ->
+        if Hashtbl.mem known key || Hashtbl.mem pending key then false
+        else
+          match
+            Option.bind cache (fun c -> Sim_engine.Exec.Cache.find c ~key)
+          with
+          | Some result ->
+            Hashtbl.add known key result;
+            false
+          | None ->
+            Hashtbl.add pending key ();
+            true)
+      keyed
+  in
+  let computed = Sim_engine.Exec.map_list ~jobs:ctx.jobs run to_run in
+  List.iter2
+    (fun (key, _) result ->
+      Option.iter (fun c -> Sim_engine.Exec.Cache.store c ~key result) cache;
+      Hashtbl.replace known key result)
+    to_run computed;
+  List.map (fun (key, _) -> Hashtbl.find known key) keyed
 
 (* The central choke point every packet simulation in the experiment
    suite goes through. Tracing bypasses the cache — a cache hit skips the
@@ -89,34 +90,16 @@ let eval (ctx : Common.ctx) configs =
   match ctx.trace_dir with
   | Some dir ->
     Sim_engine.Exec.mkdir_p dir;
-    let keyed = List.map (fun c -> (E.digest c, c)) configs in
-    let seen = Hashtbl.create 16 in
-    let distinct =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        keyed
-    in
-    let computed =
-      Sim_engine.Exec.map_list ~jobs:ctx.jobs (run_traced ~dir) distinct
-    in
-    let results : (string, E.result) Hashtbl.t = Hashtbl.create 16 in
-    List.iter2
-      (fun (key, _) result -> Hashtbl.replace results key result)
-      distinct computed;
-    List.map (fun (key, _) -> Hashtbl.find results key) keyed
-  | None -> evaluate ctx ~digest:E.digest ~run:(fun c -> E.run c) configs
+    evaluate ~cached:false ctx ~digest:E.digest ~run:(run_traced ~dir) configs
+  | None -> evaluate ctx ~digest:E.digest ~run:(fun (_, c) -> E.run c) configs
 
 (* [eval]'s backend-neutral sibling, one spec per worker-pool job.
    Analytic backends have no event stream, so [trace_dir] does not apply
    here. *)
 let run_specs (ctx : Common.ctx) backend specs =
   evaluate ctx ~digest:(Sim_backend.digest backend)
-    ~run:(Sim_backend.run_exn backend) specs
+    ~run:(fun (_, s) -> Sim_backend.run_exn backend s)
+    specs
 
 (* A capped memo: outcomes keyed by digest, stamped with a logical access
    tick. When full, the least-recently-used entry is evicted (an O(cap)

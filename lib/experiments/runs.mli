@@ -18,9 +18,9 @@ val eval :
   Common.ctx ->
   Tcpflow.Experiment.config list ->
   Tcpflow.Experiment.result list
-(** Run every config, in order. With [ctx.cache_dir] set, cached results
-    are returned without simulating and fresh results are persisted;
-    duplicate configs within one batch are simulated once. Misses run on
+(** Run every config, in order; duplicate configs within one batch are
+    simulated once. With [ctx.cache_dir] set, cached results are returned
+    without simulating and fresh results are persisted. Misses run on
     [ctx.jobs] worker domains; results are independent of [jobs] because
     each run derives all randomness from its config's seed.
 

@@ -3,9 +3,16 @@
     return over an uncongested reverse path.
 
     Delay budget per flow: the flow's base RTT is split evenly between the
-    forward pipe (after the bottleneck) and the reverse (ACK) path, so a
+    forward path (after the bottleneck) and the reverse (ACK) path, so a
     packet that never queues experiences exactly [base_rtt] between send and
-    ACK, plus its own serialization time. *)
+    ACK, plus its own serialization time.
+
+    The dumbbell owns both hops. Flows with the same one-way delay
+    [h = base_rtt / 2] form a delay class that shares one forward and one
+    reverse calendar lane (both FIFO: exits leave one serial link in order
+    and every hop of a class adds the same [h]). The receiver is internal:
+    it turns each arriving packet into an ACK that reaches the sender [h]
+    later, at [(t_exit + h) + h], where the flow's ACK handler runs. *)
 
 type t
 
@@ -33,34 +40,38 @@ val rate_bps : t -> Sim_engine.Units.rate_bps
 val base_rtt_of : t -> int -> Sim_engine.Units.seconds
 (** Base RTT of the given flow id. Raises [Not_found] for unknown flows. *)
 
-val set_receiver : t -> flow:int -> (Packet.t -> unit) -> unit
-(** Install the receive callback for a flow. Packets of flows without a
-    receiver are counted in {!orphaned} and discarded. *)
+val set_ack_handler : t -> flow:int -> (Packet.t -> unit) -> unit
+(** Install the flow's ACK handler. It runs when the ACK of each packet the
+    flow got through arrives back at the sender, with that packet as
+    argument. The handler in place at the ACK instant is the one called.
+    Raises [Not_found] for a flow without a registered path. Packets of
+    flows without a handler are counted in {!orphaned} and discarded. *)
 
-val receiver : t -> flow:int -> (Packet.t -> unit) option
-(** The currently installed receive callback (tests use this to detach a
-    flow's receiver — black-holing its ACKs — and restore it later). *)
+val ack_handler : t -> flow:int -> (Packet.t -> unit) option
+(** The currently installed ACK handler (tests use this to black-hole a
+    flow's ACKs and restore them later). *)
 
 val add_flow : t -> flow:int -> base_rtt:Sim_engine.Units.seconds -> unit
 (** Register a flow's path mid-simulation (the open-loop workload layer
     attaches each arriving short flow this way). Idempotent per id: a
-    re-registration just updates the RTT. *)
+    re-registration just updates the RTT. Raises [Invalid_argument] for a
+    negative id. *)
 
 val remove_flow : t -> flow:int -> unit
-(** Tear a flow down: forget its RTT and receiver. Packets of the flow
-    still inside the queue or pipe are counted in {!orphaned} on arrival
-    and discarded — the lifecycle analogue of a closed port. *)
+(** Tear a flow down: forget its RTT and ACK handler. Packets and ACKs of
+    the flow still inside the queue or on either path are counted in
+    {!orphaned} at their next hop and discarded — the lifecycle analogue of
+    a closed port. *)
 
 val known_flow : t -> flow:int -> bool
 (** Whether the flow id currently has a registered path. *)
 
 val send : t -> Packet.t -> Droptail_queue.verdict
-(** Inject a packet at the bottleneck; on [Enqueued], it will eventually be
-    delivered to the flow's receiver. The caller learns of drops only through
-    ACK feedback, as in a real network (but the verdict is returned for
-    instrumentation). *)
-
-val reverse_delay : t -> flow:int -> Sim_engine.Units.seconds
-(** One-way delay of the flow's ACK path. *)
+(** Inject a packet at the bottleneck; on [Enqueued], its ACK will
+    eventually reach the flow's ACK handler. The caller learns of drops
+    only through ACK feedback, as in a real network (but the verdict is
+    returned for instrumentation). *)
 
 val orphaned : t -> int
+(** Packets and ACKs discarded because their flow was unknown or had no
+    ACK handler when they reached a hop. *)

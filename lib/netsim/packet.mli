@@ -1,9 +1,9 @@
 (** Data packets traversing the forward path of the simulated network.
 
     Only data packets are modelled as queue-occupying objects; ACKs travel on
-    the uncongested reverse path and are represented as scheduled callbacks
-    (see {!Tcpflow.Receiver}), matching the paper's single-bottleneck setup
-    where the ACK path is never the bottleneck.
+    the uncongested reverse path, where the delivered packet itself stands
+    for its ACK (see {!Dumbbell}), matching the paper's single-bottleneck
+    setup where the ACK path is never the bottleneck.
 
     The [delivered]/[delivered_time]/[app_limited] fields snapshot the
     sender's delivery state at transmission time; they implement the delivery

@@ -83,17 +83,14 @@ type t = {
   mutable lost_segments : int;
   mutable retransmitted_segments : int;
   (* Lifecycle. A sender slot is created once and can host a succession of
-     flows ([rebind]): [finished] gates ACK processing after completion so a
-     late retransmitted copy cannot touch the slot's next tenant, and
-     [reverse_delay] is re-read by the single receiver closure so the ACK
-     lane is reused across rebinds. The lane's FIFO contract requires every
-     tenant of one slot to share the same reverse-path delay. *)
+     flows ([rebind]): [finished] gates ACK processing after completion, and
+     [ack_cb] is the slot's one ACK handler, registered with the dumbbell
+     under each tenant's flow id in turn. *)
   mutable finished : bool;
   mutable activation_time : float;  (* nan until activated *)
   mutable completion_time : float;  (* nan until completed *)
   mutable on_complete : unit -> unit;
-  mutable reverse_delay : float;
-  mutable recv_cb : Packet.t -> unit;
+  mutable ack_cb : Packet.t -> unit;
   mutable start_handle : Sim.handle;
   mutable start_cb : unit -> unit;
 }
@@ -483,9 +480,9 @@ and schedule_pacer t =
    [trig]. *)
 let on_ack_packet t (trig : Packet.t) =
   if t.finished then begin
-    (* A late copy of an already-delivered segment arriving after the flow
-       completed (or was deactivated): the slot may already host another
-       flow, so nothing here may be touched — just recycle the packet. *)
+    (* A late ACK arriving after the flow completed (or was deactivated)
+       while its path is still attached: the tenant's state is final, so
+       nothing here may be touched — just recycle the packet. *)
     if t.pk_pool_len < Array.length t.pk_pool then begin
       t.pk_pool.(t.pk_pool_len) <- trig;
       t.pk_pool_len <- t.pk_pool_len + 1
@@ -602,7 +599,7 @@ let on_ack_packet t (trig : Packet.t) =
     arm_rto t;
     try_send t
   end;
-  (* [trig] has left the network (its delivery popped it from the ACK lane)
+  (* [trig] has left the network (the dumbbell's reverse lane popped it)
      and every use above copied values out, so it can be recycled. *)
   if t.pk_pool_len < Array.length t.pk_pool then begin
     t.pk_pool.(t.pk_pool_len) <- trig;
@@ -686,8 +683,7 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       activation_time = nan;
       completion_time = nan;
       on_complete = (match on_complete with None -> ignore | Some f -> f);
-      reverse_delay = 0.0;
-      recv_cb = ignore;
+      ack_cb = ignore;
       start_handle = Sim.null_handle;
       start_cb = ignore;
     }
@@ -697,20 +693,8 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
     (fun () ->
       t.pacing_handle <- Sim.null_handle;
       try_send t);
-  (* Receiver: each arriving data packet generates one ACK that reaches the
-     sender after the flow's reverse-path delay. The reverse delay is a
-     per-flow constant (it is re-read per packet only so [rebind] can retune
-     it between tenants), so ACK arrivals are FIFO and ride a calendar
-     lane. *)
-  t.reverse_delay <- (Dumbbell.reverse_delay net ~flow :> float);
-  let ack_lane =
-    Sim.lane sim ~dummy:Packet.dummy
-      ~deliver:(fun packet -> on_ack_packet t packet)
-  in
-  t.recv_cb <-
-    (fun packet ->
-      Sim.schedule_packet sim ack_lane ~delay:t.reverse_delay packet);
-  Dumbbell.set_receiver net ~flow t.recv_cb;
+  t.ack_cb <- (fun packet -> on_ack_packet t packet);
+  Dumbbell.set_ack_handler net ~flow t.ack_cb;
   t.start_cb <-
     (fun () ->
       t.start_handle <- Sim.null_handle;
@@ -741,7 +725,7 @@ let deactivate t =
 
 (* Reset every piece of per-flow state while keeping the allocated
    containers (segment table, order ring, retransmit queue, packet pool,
-   scratch records, timer callbacks, ACK lane): in steady-state churn the
+   scratch records, timer and ACK callbacks): in steady-state churn the
    arrival path allocates only the tenant's CC instance and its segment
    bookkeeping, never the slot machinery. *)
 let rebind t ~flow ~cc ?data_limit_bytes () =
@@ -776,16 +760,7 @@ let rebind t ~flow ~cc ?data_limit_bytes () =
   t.lost_segments <- 0;
   t.retransmitted_segments <- 0;
   t.completion_time <- nan;
-  (* The slot's ACK lane is FIFO; a tenant with a different reverse delay
-     would let a later flow's ACK overtake an earlier one. Enforce, rather
-     than document, the homogeneity requirement. *)
-  let reverse = (Dumbbell.reverse_delay t.net ~flow :> float) in
-  if
-    Float.abs (reverse -. t.reverse_delay) > 1e-12
-    && not (Float.is_nan t.activation_time) (* slot was used before *)
-  then invalid_arg "Sender.rebind: tenants of one slot must share an RTT";
-  t.reverse_delay <- reverse;
-  Dumbbell.set_receiver t.net ~flow t.recv_cb;
+  Dumbbell.set_ack_handler t.net ~flow t.ack_cb;
   (* Activate immediately: rebinding happens at the new flow's arrival
      instant. *)
   let now = Sim.now t.sim in

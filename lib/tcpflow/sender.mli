@@ -19,10 +19,10 @@
     A [t] is a {e slot}, not just a flow: after its tenant completes,
     {!rebind} resets the per-flow state and activates a new flow in place,
     reusing every allocated container (segment table, rings, packet pool,
-    timer callbacks, ACK lane) so open-loop churn stays allocation-free in
-    steady state. All tenants of one slot must share a reverse-path delay:
-    the slot's ACK lane is a FIFO calendar and a different delay would let a
-    later flow's ACKs overtake an earlier one's ([rebind] enforces this). *)
+    timer and ACK callbacks) so open-loop churn stays allocation-free in
+    steady state. Tenants of one slot may have different RTTs: the
+    dumbbell routes each ACK by flow id, so an ACK of an earlier tenant
+    never reaches a later one. *)
 
 type t
 
@@ -37,8 +37,9 @@ val create :
   ?trace:Sim_engine.Trace.t ->
   unit ->
   t
-(** Wires a sender and its receiver into [net] for flow id [flow]. The
-    sender begins transmitting at [start_time] (default 0) and, when
+(** Wires a sender into [net] for flow id [flow], registering its ACK
+    handler ([Not_found] if [flow] has no registered path). The sender
+    begins transmitting at [start_time] (default 0) and, when
     [data_limit_bytes] is given, stops once that much data is delivered, at
     which point [on_complete] (if any) runs — after all per-ACK state
     updates, so the callback may tear the flow down and release the slot.
@@ -52,12 +53,12 @@ val create :
 val rebind :
   t -> flow:int -> cc:Cca.Cc_types.t -> ?data_limit_bytes:int -> unit -> unit
 (** [rebind t ~flow ~cc ?data_limit_bytes ()] points the (finished) slot at
-    a new flow id, installs its receiver on the slot's network, resets all
-    per-flow transport state and activates the flow at the current sim time
-    (emitting [Flow_start] when traced). Raises [Invalid_argument] if the
-    current tenant has not finished, or if the new flow's reverse delay
-    differs from the slot's. The caller must have registered [flow]'s path
-    via {!Netsim.Dumbbell.add_flow} first. *)
+    a new flow id, registers the slot's ACK handler for it on the network,
+    resets all per-flow transport state and activates the flow at the
+    current sim time (emitting [Flow_start] when traced). Raises
+    [Invalid_argument] if the current tenant has not finished. The caller
+    must have registered [flow]'s path via {!Netsim.Dumbbell.add_flow}
+    first ([Not_found] otherwise). *)
 
 val deactivate : t -> unit
 (** Cancel the slot's pending start/RTO/pacing timers and mark it finished

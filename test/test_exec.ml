@@ -108,19 +108,23 @@ let test_cache_hit_skips_simulation () =
     (List.combine (marshal_of_results first) (marshal_of_results second))
 
 let test_cache_dedups_within_batch () =
-  let dir = fresh_dir () in
-  let ctx = Common.ctx ~cache_dir:dir Common.Quick in
   let config = small_config ~seed:9 () in
-  let before = Exec.counters () in
-  (match Runs.eval ctx [ config; config; config ] with
-  | [ a; b; c ] ->
-      Alcotest.(check bool) "duplicates agree" true
-        (String.equal (fingerprint a) (fingerprint b)
-        && String.equal (fingerprint b) (fingerprint c))
-  | _ -> Alcotest.fail "expected 3 results");
-  let after = Exec.counters () in
-  Alcotest.(check int) "simulated once" 1
-    (after.jobs_executed - before.jobs_executed)
+  List.iter
+    (fun (label, ctx) ->
+      let before = Exec.counters () in
+      (match Runs.eval ctx [ config; config; config ] with
+      | [ a; b; c ] ->
+          Alcotest.(check bool) (label ^ ": duplicates agree") true
+            (String.equal (fingerprint a) (fingerprint b)
+            && String.equal (fingerprint b) (fingerprint c))
+      | _ -> Alcotest.fail "expected 3 results");
+      let after = Exec.counters () in
+      Alcotest.(check int) (label ^ ": simulated once") 1
+        (after.jobs_executed - before.jobs_executed))
+    [
+      ("cached", Common.ctx ~cache_dir:(fresh_dir ()) Common.Quick);
+      ("uncached", Common.ctx Common.Quick);
+    ]
 
 let test_digest_sensitive_to_every_field () =
   let digests =

@@ -97,7 +97,10 @@ let test_dumbbell_attach_detach () =
     (Netsim.Dumbbell.base_rtt_of net 7 :> float);
   Netsim.Dumbbell.remove_flow net ~flow:7;
   Alcotest.(check bool) "unknown after detach" false
-    (Netsim.Dumbbell.known_flow net ~flow:7)
+    (Netsim.Dumbbell.known_flow net ~flow:7);
+  match Netsim.Dumbbell.add_flow net ~flow:(-1) ~base_rtt:(Units.ms 30.0) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "negative flow id accepted"
 
 let test_dumbbell_orphans_detached_flow () =
   (* A packet in flight when its flow detaches is counted and discarded,
@@ -109,7 +112,7 @@ let test_dumbbell_orphans_detached_flow () =
   in
   Netsim.Dumbbell.add_flow net ~flow:3 ~base_rtt:(Units.ms 20.0);
   let delivered = ref 0 in
-  Netsim.Dumbbell.set_receiver net ~flow:3 (fun _ -> incr delivered);
+  Netsim.Dumbbell.set_ack_handler net ~flow:3 (fun _ -> incr delivered);
   let pkt =
     Netsim.Packet.make ~flow:3 ~seq:0 ~size:1500 ~retransmit:false
       ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0 ~app_limited:false
@@ -119,6 +122,43 @@ let test_dumbbell_orphans_detached_flow () =
   Sim.run ~until:1.0 sim;
   Alcotest.(check int) "not delivered" 0 !delivered;
   Alcotest.(check int) "orphaned" 1 (Netsim.Dumbbell.orphaned net)
+
+(* Regression: an ACK still in flight when its flow is torn down must not
+   reach the flow that next takes over the sender slot. ACKs are routed by
+   flow id, so the old tenant's ACK is orphaned instead of being credited
+   to the new one. *)
+let test_stale_ack_not_credited_to_new_tenant () =
+  let sim = Sim.create ~seed:3 () in
+  let net =
+    Netsim.Dumbbell.create ~sim ~rate_bps:(Units.mbps 10.0)
+      ~buffer_bytes:100_000
+      ~flows:[ { Netsim.Dumbbell.flow = 0; base_rtt = Units.ms 20.0 } ]
+      ()
+  in
+  let cc () =
+    Cca.Registry.create "cubic" ~mss:Units.mss ~rng:(Sim_engine.Rng.create 1)
+  in
+  let sender =
+    Tcpflow.Sender.create ~net ~flow:0 ~cc:(cc ())
+      ~start_time:(Units.seconds 10.0) ()
+  in
+  let pkt =
+    Netsim.Packet.make ~flow:0 ~seq:0 ~size:1500 ~retransmit:false
+      ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0 ~app_limited:false
+  in
+  ignore (Netsim.Dumbbell.send net pkt);
+  (* Past the receiver (1.2 ms + 10 ms), with the ACK due at 21.2 ms. *)
+  Sim.run ~until:0.015 sim;
+  Tcpflow.Sender.deactivate sender;
+  Netsim.Dumbbell.remove_flow net ~flow:0;
+  Netsim.Dumbbell.add_flow net ~flow:1 ~base_rtt:(Units.ms 20.0);
+  Tcpflow.Sender.rebind sender ~flow:1 ~cc:(cc ()) ();
+  Sim.run ~until:0.030 sim;
+  Alcotest.(check (float 0.0)) "new tenant delivered nothing" 0.0
+    (Tcpflow.Sender.delivered_bytes sender);
+  Alcotest.(check bool) "new tenant has no RTT sample" true
+    (Float.is_nan (Tcpflow.Sender.srtt sender));
+  Alcotest.(check int) "old ACK orphaned" 1 (Netsim.Dumbbell.orphaned net)
 
 let test_rebind_requires_finished_tenant () =
   let sim = Sim.create ~seed:2 () in
@@ -279,6 +319,8 @@ let tests =
       test_dumbbell_orphans_detached_flow;
     Alcotest.test_case "rebind guard" `Quick
       test_rebind_requires_finished_tenant;
+    Alcotest.test_case "stale ACK not credited to new tenant" `Quick
+      test_stale_ack_not_credited_to_new_tenant;
     Alcotest.test_case "teardown" `Quick test_teardown_cuts_active_flows;
     Alcotest.test_case "traced churn audits clean" `Quick
       test_traced_churn_run_audits_clean;

@@ -162,7 +162,7 @@ let test_start_time_honored () =
     (Tcpflow.Sender.delivered_bytes sender > 0.0)
 
 (* Regression: rto_interval used to return a constant, so a dead path
-   retransmitted at a fixed cadence forever. Black-holing the receiver must
+   retransmitted at a fixed cadence forever. Black-holing the flow's ACKs must
    produce exponentially backed-off RTO firings; restoring it must reset
    the backoff on the first ACK. *)
 let test_rto_exponential_backoff () =
@@ -188,13 +188,13 @@ let test_rto_exponential_backoff () =
   Sim.run ~until:1.0 sim;
   Alcotest.(check int) "no backoff while healthy" 0
     (Tcpflow.Sender.rto_backoff sender);
-  (* Black-hole the flow: its packets vanish at the receiver, so no ACKs. *)
-  let receiver =
-    match Netsim.Dumbbell.receiver net ~flow:0 with
+  (* Black-hole the flow: its ACKs vanish on arrival. *)
+  let handler =
+    match Netsim.Dumbbell.ack_handler net ~flow:0 with
     | Some r -> r
-    | None -> Alcotest.fail "receiver installed at create time"
+    | None -> Alcotest.fail "ACK handler installed at create time"
   in
-  Netsim.Dumbbell.set_receiver net ~flow:0 (fun _ -> ());
+  Netsim.Dumbbell.set_ack_handler net ~flow:0 (fun _ -> ());
   Sim.run ~until:12.0 sim;
   let fires = List.rev !rto_fires in
   Alcotest.(check bool)
@@ -215,7 +215,7 @@ let test_rto_exponential_backoff () =
     | _ -> true
   in
   Alcotest.(check bool) "intervals double" true (doubled fires);
-  Netsim.Dumbbell.set_receiver net ~flow:0 receiver;
+  Netsim.Dumbbell.set_ack_handler net ~flow:0 handler;
   let delivered_before = Tcpflow.Sender.delivered_bytes sender in
   Sim.run ~until:80.0 sim;
   Alcotest.(check int) "backoff reset by ACK" 0
@@ -238,14 +238,14 @@ let test_inflight_accounting_exact () =
   audit ();
   Sim.run ~until:2.0 sim;
   (* Force an RTO with ACKs still in flight, then let them land. *)
-  let receiver =
-    match Netsim.Dumbbell.receiver net ~flow:0 with
+  let handler =
+    match Netsim.Dumbbell.ack_handler net ~flow:0 with
     | Some r -> r
-    | None -> Alcotest.fail "receiver installed at create time"
+    | None -> Alcotest.fail "ACK handler installed at create time"
   in
-  Netsim.Dumbbell.set_receiver net ~flow:0 (fun _ -> ());
+  Netsim.Dumbbell.set_ack_handler net ~flow:0 (fun _ -> ());
   Sim.run ~until:6.0 sim;
-  Netsim.Dumbbell.set_receiver net ~flow:0 receiver;
+  Netsim.Dumbbell.set_ack_handler net ~flow:0 handler;
   Sim.run ~until:10.0 sim;
   Alcotest.(check bool) "losses exercised" true
     (Tcpflow.Sender.lost_segments sender > 0);
